@@ -5,8 +5,9 @@ apps + the §IV-D sweep) along the optimisation trajectory this repo
 ships:
 
 - **cold** — every process-wide cache cleared first: expanded-AES
-  ciphers, CTR keystream blocks, CMAC subkeys, KDF derivations and the
-  packager's segment cache. This is what a fresh interpreter pays.
+  ciphers, CTR keystream blocks, CMAC subkeys, KDF derivations, the
+  packager's segment cache and the labelled RSA device-key cache. This
+  is what a fresh interpreter pays.
 - **warm** — the same run again with caches populated, the steady state
   for repeated studies in one process (benchmarks, CI, notebooks).
 - **parallel** — the warm run fanned out over ``jobs=4`` worker
@@ -49,6 +50,7 @@ from repro.obs.sampling import TraceSampler
 from repro.crypto.cmac import _subkeys_for
 from repro.crypto.kdf import derive_key
 from repro.crypto.modes import _keystream_blocks
+from repro.crypto.rsa import _KEY_CACHE, _KEY_CACHE_LOCK
 from repro.dash.packager import clear_segment_cache, segment_cache_stats
 
 _ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_study.json"
@@ -61,6 +63,8 @@ def _clear_substrate_caches() -> None:
     _subkeys_for.cache_clear()
     derive_key.cache_clear()
     clear_segment_cache()
+    with _KEY_CACHE_LOCK:
+        _KEY_CACHE.clear()
 
 
 def _timed_study(jobs: int = 1) -> tuple[float, str]:
@@ -270,7 +274,7 @@ def test_bench_study_trajectory(capsys):
             {
                 "phase": "sequential-cold",
                 "seconds": round(cold_s, 3),
-                "note": "all substrate caches cleared first",
+                "note": "every cache cleared first, RSA device keys too",
             },
             {
                 "phase": "sequential-warm",

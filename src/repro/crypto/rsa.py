@@ -74,7 +74,7 @@ def _is_probable_prime(candidate: int, rng: HmacDrbg, rounds: int = 24) -> bool:
 
 def _generate_prime(bits: int, rng: HmacDrbg) -> int:
     while True:
-        candidate = rng.rand_odd(bits)
+        candidate = rng.rand_odd(bits) | 1 << (bits - 2)
         if _is_probable_prime(candidate, rng):
             return candidate
 
@@ -209,11 +209,9 @@ def generate_keypair(
         phi = (p - 1) * (q - 1)
         if phi % e == 0:
             continue
-        n = p * q
-        if n.bit_length() != bits:
-            continue
+        # Both top bits set: p*q >= 2.25 * 2**(bits - 2), so n has bits bits.
         d = pow(e, -1, phi)
-        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
+        return RsaPrivateKey(n=p * q, e=e, d=d, p=p, q=q)
 
 
 # --- PKCS#1 v2.2 encoding ---------------------------------------------
@@ -307,7 +305,7 @@ def pss_sign(
     masked_db = bytearray(_xor(db, db_mask))
     masked_db[0] &= 0xFF >> (8 * em_len - em_bits)
     em = bytes(masked_db) + h + b"\xbc"
-    signature = pow(int.from_bytes(em, "big"), private.d, private.n)
+    signature = private.raw_decrypt(int.from_bytes(em, "big"))
     return signature.to_bytes(private.byte_length, "big")
 
 

@@ -524,17 +524,19 @@ class FleetScheduler:
     @staticmethod
     def _require_registry_profiles(campaign: Campaign) -> None:
         # Child processes rebuild the campaign from its manifest, which
-        # names profiles; ad-hoc profile objects can't cross that
-        # boundary, so multiprocess mode insists on registry profiles.
+        # names profiles; ad-hoc or edited profile objects can't cross
+        # that boundary, so multiprocess mode insists on the registry's.
         for profile in campaign.profiles:
             try:
-                profile_by_name(profile.name)
+                registered = profile_by_name(profile.name)
             except KeyError:
+                registered = None
+            if registered != profile:
                 raise FleetError(
-                    f"profile {profile.name!r} is not in the registry; "
-                    "multiprocess campaigns (--jobs > 1) need registry "
-                    "profiles — use jobs=1 for ad-hoc profiles"
-                ) from None
+                    f"profile {profile.name!r} is not an unedited registry "
+                    "profile; multiprocess campaigns (--jobs > 1) rebuild "
+                    "profiles by name — use jobs=1 for ad-hoc or edited ones"
+                )
 
     def _reconcile(
         self,

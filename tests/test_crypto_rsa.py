@@ -1,9 +1,13 @@
-"""RSA keygen, OAEP and PSS: round trips, tamper rejection, determinism."""
+"""RSA keygen, OAEP and PSS: round trips, tamper rejection, determinism,
+and a differential oracle against the ``cryptography`` package."""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.crypto.rsa as rsa_module
 from repro.crypto.rng import derive_rng
 from repro.crypto.rsa import (
     RsaPrivateKey,
@@ -25,6 +29,18 @@ def key2048() -> RsaPrivateKey:
     return generate_keypair(2048, label="test-suite-2048")
 
 
+@pytest.fixture(scope="module", params=[1024, 2048])
+def any_key(request, key, key2048) -> RsaPrivateKey:
+    return key if request.param == 1024 else key2048
+
+
+class _TextbookKey(RsaPrivateKey):
+    """The same key, but its private op is the textbook ``c^d mod n``."""
+
+    def raw_decrypt(self, c: int) -> int:
+        return pow(c, self.d, self.n)
+
+
 class TestKeygen:
     def test_modulus_bit_length(self, key, key2048):
         assert key.n.bit_length() == 1024
@@ -44,6 +60,29 @@ class TestKeygen:
         assert generate_keypair(1024, label="cache-check") is generate_keypair(
             1024, label="cache-check"
         )
+
+    @pytest.mark.parametrize("bits", [512, 1024, 1025, 2048])
+    def test_modulus_and_primes_are_full_length(self, bits):
+        label = "test-suite-2048" if bits == 2048 else f"full-length/{bits}"
+        k = generate_keypair(bits, label=label)
+        assert k.n.bit_length() == bits
+        assert k.p.bit_length() + k.q.bit_length() == bits
+        for prime in (k.p, k.q):
+            assert prime >> (prime.bit_length() - 2) == 0b11
+
+    def test_explicit_rng_keygen_draws_exactly_two_primes(self, monkeypatch):
+        calls = []
+        real = rsa_module._generate_prime
+
+        def counting(bits, rng):
+            calls.append(bits)
+            return real(bits, rng)
+
+        monkeypatch.setattr(rsa_module, "_generate_prime", counting)
+        # With only the top bit forced, this stream needed five prime
+        # pairs before p*q reached 1024 bits.
+        generate_keypair(1024, rng=derive_rng("prime-count/e"))
+        assert calls == [512, 512]
 
     def test_private_public_consistency(self, key):
         message = 0x1234567890ABCDEF
@@ -159,3 +198,67 @@ class TestPss:
     @given(message=st.binary(max_size=64))
     def test_sign_verify_property(self, key, message):
         assert pss_verify(key.public, message, pss_sign(key, message))
+
+    @settings(max_examples=10, deadline=None)
+    @given(message=st.binary(max_size=64))
+    def test_crt_signature_equals_textbook_signature(self, any_key, message):
+        textbook = _TextbookKey(
+            n=any_key.n, e=any_key.e, d=any_key.d, p=any_key.p, q=any_key.q
+        )
+        assert pss_sign(any_key, message) == pss_sign(textbook, message)
+
+
+class TestCryptographyOracle:
+    """Our keys and encodings against the installed ``cryptography``."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        pytest.importorskip("cryptography")
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import padding, rsa
+
+        sha256 = hashes.SHA256()
+        mgf = padding.MGF1(sha256)
+        return SimpleNamespace(
+            rsa=rsa,
+            sha256=sha256,
+            pss=padding.PSS(mgf=mgf, salt_length=32),
+            oaep=padding.OAEP(mgf=mgf, algorithm=sha256, label=None),
+        )
+
+    @pytest.fixture(scope="class")
+    def loaded(self, oracle, any_key):
+        rsa, k = oracle.rsa, any_key
+        numbers = rsa.RSAPrivateNumbers(
+            p=k.p,
+            q=k.q,
+            d=k.d,
+            dmp1=rsa.rsa_crt_dmp1(k.d, k.p),
+            dmq1=rsa.rsa_crt_dmq1(k.d, k.q),
+            iqmp=rsa.rsa_crt_iqmp(k.p, k.q),
+            public_numbers=rsa.RSAPublicNumbers(k.e, k.n),
+        )
+        return numbers.private_key()
+
+    def test_key_loads_as_private_numbers(self, loaded, any_key):
+        assert loaded.key_size == any_key.n.bit_length()
+        numbers = loaded.private_numbers()
+        assert (numbers.public_numbers.n, numbers.d) == (any_key.n, any_key.d)
+
+    @settings(max_examples=5, deadline=None)
+    @given(message=st.binary(max_size=64))
+    def test_our_pss_signature_verifies_there(
+        self, oracle, loaded, any_key, message
+    ):
+        signature = pss_sign(any_key, message)
+        loaded.public_key().verify(signature, message, oracle.pss, oracle.sha256)
+
+    def test_their_pss_signature_verifies_here(self, oracle, loaded, any_key):
+        signature = loaded.sign(b"license request", oracle.pss, oracle.sha256)
+        assert pss_verify(any_key.public, b"license request", signature)
+
+    def test_oaep_round_trips_both_ways(self, oracle, loaded, any_key):
+        ours = oaep_encrypt(any_key.public, b"session key, ours")
+        assert loaded.decrypt(ours, oracle.oaep) == b"session key, ours"
+        theirs = loaded.public_key().encrypt(b"session key, theirs", oracle.oaep)
+        assert oaep_decrypt(any_key, theirs) == b"session key, theirs"

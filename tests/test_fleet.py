@@ -226,6 +226,24 @@ class TestIncrementalRuns:
         assert outcome.stats["cache_hits"] == len(SMALL) - 1
         assert outcome.result.to_json() == sequential_json(bumped)
 
+    def test_edited_registry_profile_is_refused_at_jobs_2_but_runs_at_1(
+        self, tmp_path
+    ):
+        # Workers rebuild the campaign by profile name, so an edit to a
+        # registry-named profile could not reach them: the scheduler
+        # refuses before spawning any worker instead of waiting forever.
+        scheduler = FleetScheduler(tmp_path)
+        bumped = (
+            dataclasses.replace(
+                SMALL[0], installs_millions=SMALL[0].installs_millions + 1
+            ),
+        ) + tuple(SMALL[1:])
+        with pytest.raises(FleetError, match="not an unedited registry profile"):
+            scheduler.submit(Campaign(profiles=bumped), jobs=2)
+        assert scheduler.status() == []
+        outcome = scheduler.submit(Campaign(profiles=bumped), jobs=1)
+        assert outcome.result.to_json() == sequential_json(bumped)
+
     def test_multiprocess_run_is_byte_identical_and_steals(self, tmp_path):
         outcome = FleetScheduler(tmp_path).submit(
             Campaign(profiles=SMALL), jobs=2
