@@ -210,9 +210,13 @@ class SencBox(FullBox):
             offset += iv_size
             subsamples: list[SubsampleRange] = []
             if flags & 0x2:
+                if offset + 2 > len(payload):
+                    raise BoxParseError("senc truncated subsample count")
                 (sub_count,) = struct.unpack(">H", payload[offset : offset + 2])
                 offset += 2
                 for _ in range(sub_count):
+                    if offset + 6 > len(payload):
+                        raise BoxParseError("senc truncated subsample table")
                     clear, protected = struct.unpack(
                         ">HI", payload[offset : offset + 6]
                     )
@@ -305,11 +309,15 @@ class SaizBox(FullBox):
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SaizBox":
+        if len(payload) < 5:
+            raise BoxParseError("saiz payload too short")
         default_size, count = struct.unpack(">BI", payload[:5])
         if default_size:
             sizes = [default_size] * count
         else:
             sizes = list(payload[5 : 5 + count])
+            if len(sizes) != count:
+                raise BoxParseError("saiz truncated sample size table")
         return cls(box_type=b"saiz", version=version, flags=flags, sample_sizes=sizes)
 
 

@@ -119,12 +119,23 @@ def _write_text_atomic(path: Path, text: str) -> None:
     # renames, done counts) never see. _sweep_tmp clears it on resume.
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{next(_TMP_SEQ)}"
-    tmp.write_text(text)
+    tmp.write_bytes(text.encode())
     os.replace(tmp, path)
 
 
 def _write_json_atomic(path: Path, payload: dict) -> None:
     _write_text_atomic(path, json.dumps(payload, sort_keys=True))
+
+
+def _write_if_changed(path: Path, text: str) -> None:
+    """:func:`_write_text_atomic`, skipped when *path* already holds
+    exactly these bytes: a warm resubmit rewrites no unchanged file."""
+    try:
+        if path.read_bytes() == text.encode():
+            return
+    except FileNotFoundError:
+        pass
+    _write_text_atomic(path, text)
 
 
 def _sweep_tmp(campaign_dir: Path) -> None:
@@ -418,8 +429,9 @@ class FleetScheduler:
         for sub in ("queue", "claimed", "done"):
             (campaign_dir / sub).mkdir(parents=True, exist_ok=True)
         _sweep_tmp(campaign_dir)
-        _write_json_atomic(
-            campaign_dir / "campaign.json", campaign.to_manifest()
+        _write_if_changed(
+            campaign_dir / "campaign.json",
+            json.dumps(campaign.to_manifest(), sort_keys=True),
         )
         with telemetry.span(
             "fleet.campaign", campaign=campaign.campaign_id, jobs=jobs
@@ -551,20 +563,19 @@ class FleetScheduler:
         Returns how many cells still need a worker. With
         ``refresh_markers`` (the first round of a submission), done
         markers inherited from earlier runs are rewritten as cache
-        hits, so stats report what *this* invocation computed.
+        hits (unless they already are), so stats report what *this*
+        invocation computed.
         """
         done_dir = campaign_dir / "done"
-        queued_ids = {
-            _stem_cell_id(p)
-            for p in (campaign_dir / "queue").glob("w*/*.json")
-        }
+        tickets = list((campaign_dir / "queue").glob("w*/*.json"))
+        queued_ids = {_stem_cell_id(p) for p in tickets}
         next_ticket = 1 + max(
-            (
-                int(p.name.split("-", 1)[0])
-                for p in (campaign_dir / "queue").glob("w*/*.json")
-            ),
-            default=0,
+            (int(p.name.split("-", 1)[0]) for p in tickets), default=0
         )
+        # One listing of claimed/ for every cell, in glob-sorted order.
+        claimed_by_cell: dict[str, list[Path]] = {}
+        for path in sorted((campaign_dir / "claimed").glob("w*/*.json")):
+            claimed_by_cell.setdefault(path.stem, []).append(path)
         pending = 0
         lane = 0
         for cell in campaign.cells():
@@ -573,20 +584,17 @@ class FleetScheduler:
             if marker is not None and self.store.contains(marker["key"]):
                 # Done and still stored: nothing to do; drop any stale
                 # claimed file a crash left behind next to the marker.
-                for stale in (campaign_dir / "claimed").glob(
-                    f"w*/{cell.cell_id}.json"
-                ):
+                for stale in claimed_by_cell.get(cell.cell_id, ()):
                     stale.unlink(missing_ok=True)
                 if refresh_markers:
-                    _write_json_atomic(
-                        done_path, _cache_hit_marker(cell)
+                    _write_if_changed(
+                        done_path,
+                        json.dumps(_cache_hit_marker(cell), sort_keys=True),
                     )
                 continue
             if marker is not None:
                 done_path.unlink(missing_ok=True)  # store evicted it
-            claimed = sorted(
-                (campaign_dir / "claimed").glob(f"w*/{cell.cell_id}.json")
-            )
+            claimed = claimed_by_cell.get(cell.cell_id)
             if claimed:
                 # A dead (or previous-process) worker held it: requeue
                 # with one more attempt and a backoff window.
@@ -798,24 +806,27 @@ class FleetScheduler:
         persisted artifact projections — the same code path a live
         ``StudyResult`` serializes through.
         """
-        cells = {cell.cell_id: cell for cell in campaign.cells()}
+        # Campaign order is assembly order: world, audits, then attacks.
+        # One reads() block makes the LRU bookkeeping of every fetch a
+        # single manifest write.
+        payloads: dict[str, dict] = {}
+        with self.store.reads():
+            for cell in campaign.cells():
+                payload = self.store.get(cell.key)
+                if payload is None:
+                    raise FleetError(
+                        f"cell {cell.cell_id!r} vanished from the store "
+                        "during assembly"
+                    )
+                payloads[cell.cell_id] = payload
+
         bus = ObservabilityBus()
-
-        def fetch(cell: CellSpec) -> dict:
-            payload = self.store.get(cell.key)
-            if payload is None:
-                raise FleetError(
-                    f"cell {cell.cell_id!r} vanished from the store "
-                    "during assembly"
-                )
-            return payload
-
-        for name, value in fetch(cells["world"])["counters"].items():
+        for name, value in payloads["world"]["counters"].items():
             bus.count(name, value)
         table = TableOne()
         artifacts: dict[str, AppCellArtifact] = {}
         for profile in campaign.profiles:
-            payload = fetch(cells[f"audit-{profile.service}"])
+            payload = payloads[f"audit-{profile.service}"]
             artifact = AppCellArtifact.from_dict(payload["artifact"])
             for name, value in payload["counters"].items():
                 bus.count(name, value)
@@ -826,16 +837,18 @@ class FleetScheduler:
         attacks: dict[str, AttackCellArtifact] = {}
         if campaign.include_attacks:
             for profile in campaign.profiles:
-                payload = fetch(cells[f"attack-{profile.service}"])
                 attacks[profile.name] = AttackCellArtifact.from_dict(
-                    payload["artifact"]
+                    payloads[f"attack-{profile.service}"]["artifact"]
                 )
 
-        _write_text_atomic(campaign_dir / "result.json", result.to_json())
+        _write_if_changed(campaign_dir / "result.json", result.to_json())
         if attacks:
-            _write_json_atomic(
+            _write_if_changed(
                 campaign_dir / "attacks.json",
-                {name: a.to_dict() for name, a in attacks.items()},
+                json.dumps(
+                    {name: a.to_dict() for name, a in attacks.items()},
+                    sort_keys=True,
+                ),
             )
         return FleetOutcome(
             result=result,

@@ -25,9 +25,14 @@ Durability model
   without ``fcntl`` the store degrades to exactly that: best-effort
   counters, objects intact).
 - **LRU bound.** With ``max_bytes`` set, inserts evict the
-  least-recently-used objects (lowest sequence number; ``get`` bumps
-  recency) until the store fits. Eviction only ever costs recompute,
-  never correctness: the scheduler treats a missing key as a cold cell.
+  least-recently-used objects (lowest sequence number) until the store
+  fits. Eviction only ever costs recompute, never correctness: the
+  scheduler treats a missing key as a cold cell.
+- **Batched read bookkeeping.** ``get`` bumps recency and counts its
+  hit or miss, but records them for the enclosing :meth:`reads` block,
+  which applies them in one locked manifest read-modify-write on exit.
+  A bare ``get`` is a block of one. Hits, misses and sequence numbers
+  end up exactly as one transaction per ``get`` would leave them.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ class ResultStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
+        self._reads = threading.local()  # per-thread open reads() batch
         (self.root / _OBJECTS).mkdir(parents=True, exist_ok=True)
         with self._locked():
             self._reconcile_locked()
@@ -181,27 +187,57 @@ class ResultStore:
                 self._evict_locked(manifest, self.max_bytes, protect=key)
             self._save_manifest_locked(manifest)
 
-    def get(self, key: str) -> dict | None:
-        """Fetch one cell result; ``None`` on miss. Hits bump recency."""
-        path = self._object_path(key)
+    @contextmanager
+    def reads(self):
+        """Batch the bookkeeping of every ``get`` in this block.
+
+        Each ``get`` reads its object immediately; its hit or miss and
+        its recency bump are applied, in call order, in one locked
+        manifest read-modify-write when the outermost block exits (even
+        on an exception, so reads that happened are still counted).
+        Blocks are per thread; a nested block joins the outer one. A
+        ``put`` inside a block is numbered at once, before the block's
+        reads.
+        """
+        batch = getattr(self._reads, "batch", None)
+        if batch is not None:
+            yield batch
+            return
+        batch = self._reads.batch = []
         try:
-            payload = json.loads(path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            with self._locked():
-                manifest = self._load_manifest_locked()
-                manifest["misses"] += 1
-                manifest["entries"].pop(key, None)
-                self._save_manifest_locked(manifest)
-            return None
+            yield batch
+        finally:
+            self._reads.batch = None
+            if batch:
+                self._record_reads(batch)
+
+    def _record_reads(self, batch: list[tuple[str, int | None]]) -> None:
+        """Apply ``(key, size)`` read records; ``size is None`` is a miss."""
         with self._locked():
             manifest = self._load_manifest_locked()
-            manifest["hits"] += 1
-            entry = manifest["entries"].setdefault(
-                key, {"size": path.stat().st_size if path.exists() else 0, "seq": 0}
-            )
-            entry["seq"] = manifest["next_seq"]
-            manifest["next_seq"] += 1
+            entries = manifest["entries"]
+            for key, size in batch:
+                if size is None:
+                    manifest["misses"] += 1
+                    entries.pop(key, None)
+                    continue
+                manifest["hits"] += 1
+                entry = entries.setdefault(key, {"size": size, "seq": 0})
+                entry["seq"] = manifest["next_seq"]
+                manifest["next_seq"] += 1
             self._save_manifest_locked(manifest)
+
+    def get(self, key: str) -> dict | None:
+        """Fetch one cell result; ``None`` on miss. Hits bump recency
+        when the enclosing :meth:`reads` block (or this call) ends."""
+        with self.reads() as batch:
+            try:
+                blob = self._object_path(key).read_bytes()
+                payload = json.loads(blob)
+            except (FileNotFoundError, json.JSONDecodeError):
+                batch.append((key, None))
+                return None
+            batch.append((key, len(blob)))
         return payload
 
     def contains(self, key: str) -> bool:

@@ -1,5 +1,8 @@
 """ISO-BMFF box model: round trips, typed boxes, error handling."""
 
+import struct
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,8 +26,19 @@ from repro.bmff.boxes import (
 )
 
 
+# Malformed boxes that once escaped as raw struct.error or parsed
+# silently; each must now raise BoxParseError. The senc ones are
+# minimized crashers from a mutation fuzz of packager segments.
+CRASHERS = sorted((Path(__file__).parent / "fixtures" / "bmff").glob("*.bin"))
+
+
 def _round_trip(boxes, **kwargs):
     return parse_boxes(serialize_boxes(boxes), **kwargs)
+
+
+def _fullbox(box_type: bytes, flags: int, payload: bytes) -> bytes:
+    body = bytes([0]) + flags.to_bytes(3, "big") + payload
+    return struct.pack(">I", 8 + len(body)) + box_type + body
 
 
 class TestGenericBox:
@@ -90,6 +104,38 @@ class TestParseErrors:
         blob = b"\x00\x00\x00\x0apssh\x00\x00"
         with pytest.raises(BoxParseError):
             parse_boxes(blob)
+
+    @pytest.mark.parametrize("path", CRASHERS, ids=lambda p: p.stem)
+    def test_regression_fixture_fails_closed(self, path):
+        with pytest.raises(BoxParseError):
+            parse_boxes(path.read_bytes())
+
+    def test_regression_fixtures_present(self):
+        assert {"senc", "saiz"} <= {p.stem.split("-")[0] for p in CRASHERS}
+
+    def test_senc_truncated_subsample_count(self):
+        # One entry: 8-byte IV, then only one byte of the 2-byte count.
+        blob = _fullbox(b"senc", 0x2, struct.pack(">I", 1) + bytes(8) + b"\x00")
+        with pytest.raises(BoxParseError, match="subsample count"):
+            parse_boxes(blob)
+
+    @pytest.mark.parametrize("cut", range(1, 6))
+    def test_senc_truncated_subsample_entry(self, cut):
+        entry = SencEntry(iv=bytes(8), subsamples=[SubsampleRange(16, 32)])
+        blob = SencBox(box_type=b"senc", entries=[entry]).serialize()
+        truncated = struct.pack(">I", len(blob) - cut) + blob[4:-cut]
+        with pytest.raises(BoxParseError, match="subsample table"):
+            parse_boxes(truncated)
+
+    @pytest.mark.parametrize("size", range(0, 5))
+    def test_saiz_payload_shorter_than_header(self, size):
+        with pytest.raises(BoxParseError, match="saiz payload too short"):
+            parse_boxes(_fullbox(b"saiz", 0, bytes(size)))
+
+    def test_saiz_size_table_shorter_than_count(self):
+        payload = b"\x00" + struct.pack(">I", 3) + bytes([8, 14])
+        with pytest.raises(BoxParseError, match="sample size table"):
+            parse_boxes(_fullbox(b"saiz", 0, payload))
 
 
 class TestTenc:

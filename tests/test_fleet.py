@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -187,6 +188,91 @@ class TestResultStore:
         assert len(manifest["entries"]) == 40
 
 
+    def test_reads_block_leaves_the_manifest_bare_gets_leave(self, tmp_path):
+        """One reads() block and one transaction per get must end with
+        the same hits, misses and recency sequence, byte for byte."""
+        keys = [f"{index:02d}" * 32 for index in range(3)]
+        missing = "ff" * 32
+        sequence = [keys[2], keys[0], missing, keys[2], keys[1], missing]
+        manifests = []
+        for name in ("bare", "batched"):
+            store = ResultStore(tmp_path / name)
+            for index, key in enumerate(keys):
+                store.put(key, {"i": index})
+            if name == "bare":
+                seen = [store.get(key) for key in sequence]
+            else:
+                with store.reads():
+                    seen = [store.get(key) for key in sequence]
+            assert seen == [{"i": 2}, {"i": 0}, None, {"i": 2}, {"i": 1}, None]
+            manifests.append((tmp_path / name / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert json.loads(manifests[0])["hits"] == 4
+        assert json.loads(manifests[0])["misses"] == 2
+
+    def test_reads_block_writes_the_manifest_once_on_exit(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        store.put("aa" * 32, {"x": 1})
+        replaced: list[str] = []
+        real_replace = os.replace
+
+        def counting(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting)
+        with store.reads():
+            for _ in range(5):
+                assert store.get("aa" * 32) == {"x": 1}
+            assert store.get("bb" * 32) is None
+            assert replaced == []
+        assert replaced == ["manifest.json"]
+        assert store.stats()["hits"] == 5
+
+    def test_two_processes_batching_reads_keep_exact_totals(self, tmp_path):
+        """Interleaved reads() blocks and puts from two processes on one
+        root: the flock must keep every batch's hits and misses."""
+        shared = "5a" * 32
+        ResultStore(tmp_path).put(shared, {"shared": True})
+        ctx = multiprocessing.get_context()
+        barrier = ctx.Barrier(2)
+        procs = [
+            ctx.Process(
+                target=_batched_reader, args=(str(tmp_path), worker, barrier)
+            )
+            for worker in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        stats = ResultStore(tmp_path).stats()
+        rounds = 2 * _BATCHED_ROUNDS
+        assert stats["hits"] == 2 * rounds
+        assert stats["misses"] == rounds
+        assert stats["objects"] == 1 + rounds
+
+
+# Rounds per process in the two-process batching test; each round puts
+# one key and reads it, the shared key and one missing key in a block.
+_BATCHED_ROUNDS = 25
+
+
+def _batched_reader(root: str, worker: int, barrier) -> None:
+    store = ResultStore(root)
+    barrier.wait()
+    for index in range(_BATCHED_ROUNDS):
+        key = f"{worker:02d}{index:02d}".ljust(64, "0")
+        store.put(key, {"worker": worker, "i": index})
+        with store.reads():
+            assert store.get(key) == {"worker": worker, "i": index}
+            assert store.get("5a" * 32) == {"shared": True}
+            assert store.get(f"{worker:02d}{index:02d}".ljust(64, "f")) is None
+
+
 # ---------------------------------------------------------------------------
 # Scheduler: cold / warm / invalidation
 # ---------------------------------------------------------------------------
@@ -210,6 +296,60 @@ class TestIncrementalRuns:
         expected = sequential_json(ALL_PROFILES)
         assert cold.result.to_json() == expected
         assert warm.result.to_json() == expected
+
+    def test_second_warm_resubmit_rewrites_only_the_store_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """The warm-path contract: once the first warm resubmit has
+        turned computed markers into cache hits, a further resubmit of
+        the unchanged campaign is reads plus one manifest write."""
+        scheduler = FleetScheduler(tmp_path)
+        campaign = Campaign(profiles=ALL_PROFILES, include_attacks=True)
+        cells = len(campaign.cells())
+        cold = scheduler.submit(campaign)
+        done_dir = cold.campaign_dir / "done"
+
+        def markers() -> list[dict]:
+            return [json.loads(p.read_text()) for p in done_dir.glob("*.json")]
+
+        assert all(m["computed"] for m in markers())
+        first = FleetScheduler(tmp_path).submit(campaign)
+        assert first.stats == {**cold.stats, "computed": 0, "cache_hits": cells}
+        assert all(m["cache_hit"] and not m["computed"] for m in markers())
+
+        def snapshot() -> dict[str, tuple[int, int, int]]:
+            return {
+                str(path.relative_to(tmp_path)): (
+                    path.stat().st_ino,
+                    path.stat().st_mtime_ns,
+                    path.stat().st_size,
+                )
+                for path in tmp_path.rglob("*")
+                if path.is_file()
+            }
+
+        before = snapshot()
+        replaced: list[str] = []
+        real_replace = os.replace
+
+        def counting(src, dst):
+            replaced.append(str(Path(dst).relative_to(tmp_path)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting)
+        second = FleetScheduler(tmp_path).submit(campaign)
+        after = snapshot()
+        assert second.stats["computed"] == 0
+        assert second.stats["cache_hits"] == cells == 21
+        assert replaced == ["store/manifest.json"]
+        assert set(before) == set(after)
+        assert {
+            name for name in before if before[name] != after[name]
+        } == {"store/manifest.json"}
+        assert second.result.to_json() == cold.result.to_json()
+        assert {n: a.to_dict() for n, a in second.attacks.items()} == {
+            n: a.to_dict() for n, a in cold.attacks.items()
+        }
 
     def test_single_profile_invalidation_recomputes_only_its_cells(self, tmp_path):
         scheduler = FleetScheduler(tmp_path)
