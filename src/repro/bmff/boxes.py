@@ -38,6 +38,7 @@ __all__ = [
     "find_boxes",
     "find_first",
     "BoxParseError",
+    "MAX_SAIZ_SAMPLES",
 ]
 
 # Box types that contain child boxes rather than raw payload.
@@ -60,6 +61,13 @@ CONTAINER_TYPES = {
 
 class BoxParseError(ValueError):
     """Raised when a byte stream is not well-formed ISO-BMFF."""
+
+
+# Most samples a ``saiz`` box with a default size may declare. Its
+# count is not bounded by any table in the payload, so an untrusted
+# 32-bit count would otherwise allocate gigabytes. A fragment this
+# long is over 18 minutes of 60 fps video.
+MAX_SAIZ_SAMPLES = 1 << 16
 
 
 @dataclass
@@ -141,6 +149,8 @@ class TencBox(FullBox):
         if len(payload) < 19:
             raise BoxParseError("tenc payload too short")
         __, protected, iv_size = struct.unpack(">BBB", payload[:3])
+        if iv_size not in (0, 8, 16):
+            raise BoxParseError(f"tenc iv_size {iv_size} not 0, 8 or 16")
         return cls(
             box_type=b"tenc",
             version=version,
@@ -273,6 +283,9 @@ class PsshBox(FullBox):
         if version >= 1:
             (count,) = struct.unpack(">I", payload[offset : offset + 4])
             offset += 4
+            # The key ids and the 4-byte data length must both fit.
+            if offset + 16 * count + 4 > len(payload):
+                raise BoxParseError("pssh key id count past the payload")
             for _ in range(count):
                 key_ids.append(payload[offset : offset + 16])
                 offset += 16
@@ -313,6 +326,11 @@ class SaizBox(FullBox):
             raise BoxParseError("saiz payload too short")
         default_size, count = struct.unpack(">BI", payload[:5])
         if default_size:
+            # No table bounds the count here, so cap it before allocating.
+            if count > MAX_SAIZ_SAMPLES:
+                raise BoxParseError(
+                    f"saiz sample count {count} above {MAX_SAIZ_SAMPLES}"
+                )
             sizes = [default_size] * count
         else:
             sizes = list(payload[5 : 5 + count])
@@ -336,7 +354,11 @@ class SaioBox(FullBox):
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SaioBox":
+        if len(payload) < 4:
+            raise BoxParseError("saio payload too short")
         (count,) = struct.unpack(">I", payload[:4])
+        if 4 + 4 * count > len(payload):
+            raise BoxParseError("saio offset table shorter than its count")
         offsets = [
             struct.unpack(">I", payload[4 + 4 * i : 8 + 4 * i])[0]
             for i in range(count)
@@ -372,6 +394,8 @@ class SchmBox(FullBox):
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SchmBox":
+        if len(payload) < 8:
+            raise BoxParseError("schm payload too short")
         return cls(
             box_type=b"schm",
             version=version,

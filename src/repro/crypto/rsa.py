@@ -22,6 +22,8 @@ from repro.crypto.rng import HmacDrbg, derive_rng
 __all__ = [
     "RsaPrivateKey",
     "RsaPublicKey",
+    "KEYGEN_VERSION",
+    "cache_keypair",
     "generate_keypair",
     "oaep_encrypt",
     "oaep_decrypt",
@@ -145,22 +147,52 @@ class RsaPrivateKey:
 
     @classmethod
     def import_secret(cls, blob: bytes) -> "RsaPrivateKey":
+        """Inverse of :meth:`export_secret`. Fails closed: a truncated
+        blob, trailing bytes or an inconsistent key (n != p*q, or d not
+        an inverse of e modulo p-1 and q-1) raise ``ValueError``."""
         if blob[:4] != b"RSA1":
             raise ValueError("not an exported RSA key")
         values = []
         offset = 4
         for _ in range(5):
+            if offset + 4 > len(blob):
+                raise ValueError("truncated RSA key blob")
             length = int.from_bytes(blob[offset : offset + 4], "big")
             offset += 4
+            if offset + length > len(blob):
+                raise ValueError("truncated RSA key blob")
             values.append(int.from_bytes(blob[offset : offset + length], "big"))
             offset += length
+        if offset != len(blob):
+            raise ValueError("trailing bytes after RSA key blob")
         n, e, d, p, q = values
+        if (
+            p < 2
+            or q < 2
+            or p == q
+            or n != p * q
+            or e * d % (p - 1) != 1
+            or e * d % (q - 1) != 1
+        ):
+            raise ValueError("inconsistent RSA key")
         return cls(n=n, e=e, d=d, p=p, q=q)
 
+
+# Bump whenever generate_keypair's output for a given label and size
+# changes: stored keys are addressed by it (see repro.fleet).
+KEYGEN_VERSION = 1
 
 _KEY_CACHE: dict[tuple[bytes, int], RsaPrivateKey] = {}
 _KEY_CACHE_LOCK = threading.Lock()
 _KEY_CACHE_INFLIGHT: dict[tuple[bytes, int], threading.Event] = {}
+
+
+def cache_keypair(key: RsaPrivateKey, bits: int, *, label: str) -> None:
+    """Make *key* what ``generate_keypair(bits, label=label)`` returns
+    in this process: a key generated once and loaded from storage
+    replaces the generation."""
+    with _KEY_CACHE_LOCK:
+        _KEY_CACHE[(label.encode(), bits)] = key
 
 
 def generate_keypair(

@@ -34,8 +34,11 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from repro.crypto.rsa import KEYGEN_VERSION
+from repro.license_server.provisioning import device_rsa_label
 from repro.ott.profile import OttProfile
 from repro.ott.registry import profile_by_name
+from repro.widevine.keybox import issue_keybox
 
 __all__ = [
     "CELL_SCHEMA_VERSION",
@@ -45,6 +48,7 @@ __all__ = [
     "Campaign",
     "CellSpec",
     "default_device_identities",
+    "device_key_address",
     "profile_fingerprint",
 ]
 
@@ -103,6 +107,19 @@ def default_device_identities() -> tuple[dict, dict]:
         }
 
     return identity(l1), identity(legacy)
+
+
+def device_key_address(label: str, bits: int) -> str:
+    """Store key of a device RSA key object: what generation depends
+    on, so a keygen change addresses new objects."""
+    return _digest(
+        {
+            "object": "device-rsa-key",
+            "label": label,
+            "bits": bits,
+            "keygen": KEYGEN_VERSION,
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -199,6 +216,23 @@ class Campaign:
             if profile.name == cell.app:
                 return profile
         raise KeyError(f"no profile {cell.app!r} in campaign {self.campaign_id}")
+
+    def device_key_labels(self) -> tuple[str, ...]:
+        """Labels of the device RSA keys this campaign's cells mint.
+
+        A device gets a key iff some profile's provisioning server
+        admits its CDM: the revocation check the server makes before
+        minting. A campaign of revoking services never mints the
+        legacy device's key.
+        """
+        return tuple(
+            device_rsa_label(issue_keybox(device["serial"]).device_id)
+            for device in default_device_identities()
+            if any(
+                profile.policy().revocation.allows(device["cdm_version"])
+                for profile in self.profiles
+            )
+        )
 
     # -- identity ----------------------------------------------------------
 

@@ -24,7 +24,9 @@ its own :class:`~repro.core.study.WideLeakStudy` world and a fresh
 isolation model the parallel runner uses, pushed across process
 boundaries. A worker whose own queue runs dry **steals** from the tail
 of the deepest sibling queue; claims are renames, so two thieves can
-never hold the same ticket.
+never hold the same ticket. Before its first claim a worker loads the
+campaign's device RSA keys from the store, so each key is generated
+once per store rather than once per process.
 
 Byte-identity contract
 ----------------------
@@ -65,14 +67,17 @@ from repro.core.study import (
     StudyResult,
     WideLeakStudy,
 )
+from repro.crypto.rsa import RsaPrivateKey, cache_keypair, generate_keypair
 from repro.fleet.job import (
     QUESTION_ATTACK,
     QUESTION_AUDIT,
     QUESTION_WORLD,
     Campaign,
     CellSpec,
+    device_key_address,
 )
 from repro.fleet.store import ResultStore
+from repro.license_server.provisioning import DEVICE_RSA_BITS
 from repro.obs.bus import ObservabilityBus
 from repro.ott.registry import profile_by_name
 
@@ -215,6 +220,46 @@ class _CellExecutor:
         raise FleetError(f"unknown cell question {cell.question!r}")
 
 
+def _load_device_keys(store: ResultStore, campaign: Campaign, start: int) -> None:
+    """Put the campaign's device RSA keys in this process's key cache.
+
+    Each key is a store object, generated once per store. Under the
+    key's own lock, a stored key that imports cleanly is loaded;
+    anything else (missing, torn, inconsistent) is regenerated and stored.
+    Worker ``w<i>`` starts at key ``i mod n``, so workers generate
+    different keys concurrently and then load each other's.
+    """
+    labels = campaign.device_key_labels()
+    for step in range(len(labels)):
+        label = labels[(start + step) % len(labels)]
+        address = device_key_address(label, DEVICE_RSA_BITS)
+        with store.exclusive(address):
+            key = _stored_key(store.get(address), label)
+            if key is None:
+                key = generate_keypair(DEVICE_RSA_BITS, label=label)
+                store.put(
+                    address,
+                    {
+                        "label": label,
+                        "bits": DEVICE_RSA_BITS,
+                        "secret": key.export_secret().hex(),
+                    },
+                )
+        cache_keypair(key, DEVICE_RSA_BITS, label=label)
+
+
+def _stored_key(payload: dict | None, label: str) -> RsaPrivateKey | None:
+    """The key in a device-key object, or None unless it is whole and
+    consistent."""
+    if not isinstance(payload, dict) or payload.get("label") != label:
+        return None
+    try:
+        key = RsaPrivateKey.import_secret(bytes.fromhex(payload["secret"]))
+    except (KeyError, TypeError, ValueError):
+        return None
+    return key if key.n.bit_length() == DEVICE_RSA_BITS else None
+
+
 # ---------------------------------------------------------------------------
 # Worker
 # ---------------------------------------------------------------------------
@@ -333,6 +378,7 @@ class _Worker:
 
     def run(self) -> int:
         """Consume until every cell is done; 3 on idle timeout."""
+        _load_device_keys(self.store, self.campaign, int(self.worker_id[1:]))
         # lint: allow(CLK003) idle-timeout watchdog for wedged campaigns
         last_progress = time.monotonic()
         while True:

@@ -28,6 +28,11 @@ Durability model
   least-recently-used objects (lowest sequence number) until the store
   fits. Eviction only ever costs recompute, never correctness: the
   scheduler treats a missing key as a cold cell.
+- **Per-key production locks.** :meth:`ResultStore.exclusive` holds
+  a ``flock`` on ``locks/<key>.lock`` so one process produces an
+  object while the others wait and then read it (the device RSA keys).
+  It never takes ``manifest.lock``; the kernel releases it when its
+  holder dies.
 - **Batched read bookkeeping.** ``get`` bumps recency and counts its
   hit or miss, but records them for the enclosing :meth:`reads` block,
   which applies them in one locked manifest read-modify-write on exit.
@@ -53,12 +58,28 @@ __all__ = ["ResultStore"]
 
 _MANIFEST = "manifest.json"
 _MANIFEST_LOCK = "manifest.lock"
+_LOCKS = "locks"
 _OBJECTS = "objects"
 
 # Unique-per-write temp suffixes: the counter disambiguates writers in
 # one process (several store instances may share one root), the pid and
 # thread id disambiguate across processes and threads.
 _TMP_IDS = itertools.count()
+
+
+@contextmanager
+def _flock(path: Path):
+    """Exclusive ``flock`` on *path* for the block (a no-op without
+    ``fcntl``)."""
+    if fcntl is None:
+        yield
+        return
+    with open(path, "ab") as lock_file:
+        fcntl.flock(lock_file, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(lock_file, fcntl.LOCK_UN)
 
 
 class ResultStore:
@@ -81,16 +102,20 @@ class ResultStore:
         itself — ``os.replace`` swaps that inode on every save). Other
         instances in the same process hold different fds, so the flock
         excludes them too."""
-        with self._lock:
-            if fcntl is None:
-                yield
-                return
-            with open(self.root / _MANIFEST_LOCK, "ab") as lock_file:
-                fcntl.flock(lock_file, fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(lock_file, fcntl.LOCK_UN)
+        with self._lock, _flock(self.root / _MANIFEST_LOCK):
+            yield
+
+    @contextmanager
+    def exclusive(self, key: str):
+        """Hold an inter-process lock on one key, for single-flight
+        production of its object. Each key has its own sidecar file
+        under ``locks/`` and never takes ``manifest.lock``, so a slow
+        producer stalls no other store traffic. The kernel drops a
+        ``flock`` when its holder dies, so a killed holder never wedges
+        the next one."""
+        (self.root / _LOCKS).mkdir(exist_ok=True)
+        with _flock(self.root / _LOCKS / f"{key}.lock"):
+            yield
 
     # -- paths -------------------------------------------------------------
 

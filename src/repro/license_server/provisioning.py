@@ -100,6 +100,14 @@ class ProvisioningRecords:
         return self._level_by_fingerprint.get(fingerprint)
 
 
+DEVICE_RSA_BITS = 2048
+
+
+def device_rsa_label(device_id: bytes) -> str:
+    """The key-generation label of a device's RSA key."""
+    return f"device-rsa/{device_id.hex()}"
+
+
 def device_rsa_key(device_id: bytes) -> RsaPrivateKey:
     """The RSA key the provisioning side mints for a device.
 
@@ -107,7 +115,7 @@ def device_rsa_key(device_id: bytes) -> RsaPrivateKey:
     the same key — and so the study's attack can be validated end to
     end against ground truth.
     """
-    return generate_keypair(2048, label=f"device-rsa/{device_id.hex()}")
+    return generate_keypair(DEVICE_RSA_BITS, label=device_rsa_label(device_id))
 
 
 class ProvisioningServer(VirtualServer):

@@ -93,3 +93,11 @@ def full_study() -> WideLeakStudy:
 def study_result(full_study: WideLeakStudy) -> StudyResult:
     """The full ten-app study run (expensive; computed once)."""
     return full_study.run()
+
+
+@pytest.fixture(scope="session")
+def study_json() -> str:
+    """``to_json()`` of a fresh ten-app sequential study, taken at once:
+    ``study_result``'s bus is shared with ``full_study`` and keeps
+    counting whatever later tests run on it."""
+    return WideLeakStudy.with_default_apps().run().to_json()

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bmff.boxes import (
+    MAX_SAIZ_SAMPLES,
     Box,
     BoxParseError,
     FrmaBox,
@@ -26,9 +27,10 @@ from repro.bmff.boxes import (
 )
 
 
-# Malformed boxes that once escaped as raw struct.error or parsed
-# silently; each must now raise BoxParseError. The senc ones are
-# minimized crashers from a mutation fuzz of packager segments.
+# Malformed boxes that once escaped as raw struct.error, ValueError or
+# MemoryError, or parsed silently; each must now raise BoxParseError.
+# The senc ones are minimized crashers from a mutation fuzz of packager
+# segments; the rest are hand-built minimal boxes.
 CRASHERS = sorted((Path(__file__).parent / "fixtures" / "bmff").glob("*.bin"))
 
 
@@ -111,7 +113,48 @@ class TestParseErrors:
             parse_boxes(path.read_bytes())
 
     def test_regression_fixtures_present(self):
-        assert {"senc", "saiz"} <= {p.stem.split("-")[0] for p in CRASHERS}
+        assert {"senc", "saiz", "saio", "pssh", "tenc", "schm"} <= {
+            p.stem.split("-")[0] for p in CRASHERS
+        }
+
+    @pytest.mark.parametrize("size", range(0, 4))
+    def test_saio_payload_shorter_than_count(self, size):
+        with pytest.raises(BoxParseError, match="saio payload too short"):
+            parse_boxes(_fullbox(b"saio", 0, bytes(size)))
+
+    @pytest.mark.parametrize("count", [2, 3, 0xFFFFFFFF])
+    def test_saio_offset_table_shorter_than_count(self, count):
+        payload = struct.pack(">II", count, 0)  # room for one offset
+        with pytest.raises(BoxParseError, match="shorter than its count"):
+            parse_boxes(_fullbox(b"saio", 0, payload))
+
+    @pytest.mark.parametrize("count", [2, 17, 0xFFFFFFFF])
+    def test_pssh_v1_key_id_count_past_payload(self, count):
+        # Room for one key id and the data length, not for `count` ids.
+        body = b"\x01\x00\x00\x00" + bytes(16) + struct.pack(">I", count)
+        body += bytes(16) + struct.pack(">I", 0)
+        blob = struct.pack(">I", 8 + len(body)) + b"pssh" + body
+        with pytest.raises(BoxParseError, match="key id count"):
+            parse_boxes(blob)
+
+    @pytest.mark.parametrize("iv_size", [1, 4, 7, 9, 15, 17, 255])
+    def test_tenc_iv_size_outside_0_8_16(self, iv_size):
+        payload = bytes([0, 1, iv_size]) + bytes(16)
+        with pytest.raises(BoxParseError, match="iv_size"):
+            parse_boxes(_fullbox(b"tenc", 0, payload))
+
+    @pytest.mark.parametrize("size", range(0, 8))
+    def test_schm_payload_shorter_than_8(self, size):
+        with pytest.raises(BoxParseError, match="schm payload too short"):
+            parse_boxes(_fullbox(b"schm", 0, b"cenc\x00\x01\x00"[:size]))
+
+    def test_saiz_default_size_count_is_capped(self):
+        at_cap = b"\x08" + struct.pack(">I", MAX_SAIZ_SAMPLES)
+        (box,) = parse_boxes(_fullbox(b"saiz", 0, at_cap))
+        assert box.sample_sizes == [8] * MAX_SAIZ_SAMPLES
+        over = b"\x08" + struct.pack(">I", MAX_SAIZ_SAMPLES + 1)
+        with pytest.raises(BoxParseError, match="sample count"):
+            parse_boxes(_fullbox(b"saiz", 0, over))
 
     def test_senc_truncated_subsample_count(self):
         # One entry: 8-byte IV, then only one byte of the 2-byte count.

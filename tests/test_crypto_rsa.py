@@ -1,6 +1,7 @@
 """RSA keygen, OAEP and PSS: round trips, tamper rejection, determinism,
 and a differential oracle against the ``cryptography`` package."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -104,6 +105,42 @@ class TestKeygen:
     def test_import_rejects_garbage(self):
         with pytest.raises(ValueError, match="not an exported RSA key"):
             RsaPrivateKey.import_secret(b"nonsense")
+
+    def test_import_rejects_every_truncation(self, key):
+        blob = key.export_secret()
+        for cut in range(4, len(blob)):
+            with pytest.raises(ValueError, match="truncated|inconsistent"):
+                RsaPrivateKey.import_secret(blob[:cut])
+
+    def test_import_rejects_trailing_bytes(self, key):
+        with pytest.raises(ValueError, match="trailing"):
+            RsaPrivateKey.import_secret(key.export_secret() + b"\x00")
+
+    @pytest.mark.parametrize(
+        "field, delta",
+        [
+            ("n", 2),  # n != p*q
+            ("d", 2),  # e*d != 1 mod (p-1) and mod (q-1)
+            ("p", 2),  # n != p*q
+        ],
+    )
+    def test_import_rejects_inconsistent_keys(self, key, field, delta):
+        bad = replace(key, **{field: getattr(key, field) + delta})
+        with pytest.raises(ValueError, match="inconsistent"):
+            RsaPrivateKey.import_secret(bad.export_secret())
+
+    @pytest.mark.parametrize("prime", ["p", "q"])
+    def test_import_rejects_d_wrong_modulo_one_prime(self, key, prime):
+        # d + (q-1) still inverts e mod q-1 but not mod p-1, and vice versa.
+        other = key.q if prime == "p" else key.p
+        bad = replace(key, d=key.d + other - 1)
+        with pytest.raises(ValueError, match="inconsistent"):
+            RsaPrivateKey.import_secret(bad.export_secret())
+
+    def test_cache_keypair_replaces_generation(self, key, monkeypatch):
+        monkeypatch.setattr(rsa_module, "_KEY_CACHE", {})
+        rsa_module.cache_keypair(key, 1024, label="cache-install-check")
+        assert generate_keypair(1024, label="cache-install-check") is key
 
     def test_raw_ops_range_checks(self, key):
         with pytest.raises(ValueError):

@@ -21,10 +21,13 @@ from pathlib import Path
 
 import pytest
 
+import repro.crypto.rsa as rsa
 from repro.core.study import WideLeakStudy
 from repro.fleet import Campaign, FleetError, FleetScheduler, ResultStore
-from repro.fleet.job import profile_fingerprint
-from repro.ott.registry import ALL_PROFILES
+from repro.fleet.job import device_key_address, profile_fingerprint
+from repro.fleet.scheduler import _load_device_keys, _stored_key
+from repro.license_server.provisioning import DEVICE_RSA_BITS
+from repro.ott.registry import ALL_PROFILES, profile_by_name
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -545,6 +548,214 @@ class TestCrashRecovery:
 
 
 # ---------------------------------------------------------------------------
+# Device keys as store objects
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def keygen_log(tmp_path, monkeypatch):
+    """Empty this process's key cache and log every real device keygen
+    to a file; forked workers inherit both, so the log covers them.
+    Returns a function listing the generated labels."""
+    log = tmp_path / "keygen.log"
+    real = rsa.derive_rng
+
+    def logging_derive_rng(label, *args, **kwargs):
+        if label.startswith("device-rsa/"):
+            with open(log, "a") as handle:
+                handle.write(label + "\n")
+        return real(label, *args, **kwargs)
+
+    monkeypatch.setattr(rsa, "_KEY_CACHE", {})
+    monkeypatch.setattr(rsa, "derive_rng", logging_derive_rng)
+    return lambda: log.read_text().split() if log.exists() else []
+
+
+def _key_objects(campaign: Campaign) -> dict[str, str]:
+    """Device key label -> store address, for every key *campaign* mints."""
+    return {
+        label: device_key_address(label, DEVICE_RSA_BITS)
+        for label in campaign.device_key_labels()
+    }
+
+
+class TestDeviceKeys:
+    def test_labels_follow_the_provisioning_revocation_check(self):
+        everyone = Campaign(profiles=ALL_PROFILES).device_key_labels()
+        assert len(everyone) == 2
+        revoking = Campaign(
+            profiles=(profile_by_name("Disney+"), profile_by_name("HBO Max"))
+        ).device_key_labels()
+        assert revoking == everyone[:1]  # the L1 key only
+
+    def test_cold_jobs2_submit_generates_each_device_key_once(
+        self, tmp_path, study_json, keygen_log
+    ):
+        campaign = Campaign(profiles=ALL_PROFILES)
+        outcome = FleetScheduler(tmp_path / "fleet").submit(campaign, jobs=2)
+        assert sorted(keygen_log()) == sorted(campaign.device_key_labels())
+        assert outcome.result.to_json() == study_json
+        store = ResultStore(tmp_path / "fleet" / "store")
+        for label, address in _key_objects(campaign).items():
+            assert _stored_key(store.get(address), label) is not None
+
+    def test_more_workers_than_cores_generate_each_key_once(
+        self, tmp_path, keygen_log
+    ):
+        """Four processes warm one fresh store at once, two per key
+        start index: a lost single-flight shows as a second keygen."""
+        campaign = Campaign(profiles=ALL_PROFILES)
+        store_root = tmp_path / "store"
+
+        def warm(index: int) -> None:
+            _load_device_keys(ResultStore(store_root), campaign, index)
+            with open(tmp_path / f"loaded-{index}", "w") as handle:
+                for label in campaign.device_key_labels():
+                    key = rsa._KEY_CACHE[(label.encode(), DEVICE_RSA_BITS)]
+                    handle.write(f"{label} {key.n}\n")
+
+        ctx = multiprocessing.get_context("fork")  # inherits the keygen log
+        procs = [ctx.Process(target=warm, args=(i,)) for i in range(4)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert not any(proc.is_alive() for proc in procs)
+        assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+        assert sorted(keygen_log()) == sorted(campaign.device_key_labels())
+        loaded = {(tmp_path / f"loaded-{i}").read_text() for i in range(4)}
+        assert len(loaded) == 1
+
+    def test_revoking_campaign_never_generates_the_legacy_key(
+        self, tmp_path, keygen_log
+    ):
+        profiles = (profile_by_name("Disney+"), profile_by_name("HBO Max"))
+        campaign = Campaign(profiles=profiles, include_attacks=True)
+        outcome = FleetScheduler(tmp_path / "fleet").submit(campaign)
+        assert keygen_log() == list(campaign.device_key_labels())
+        assert len(keygen_log()) == 1
+        assert outcome.result.to_json() == sequential_json(profiles)
+
+    def test_edited_profile_resubmit_loads_keys(self, tmp_path, request):
+        scheduler = FleetScheduler(tmp_path / "fleet")
+        scheduler.submit(Campaign(profiles=SMALL))
+        generated = request.getfixturevalue("keygen_log")
+        edited = (
+            dataclasses.replace(
+                SMALL[0], installs_millions=SMALL[0].installs_millions + 1
+            ),
+        ) + tuple(SMALL[1:])
+        outcome = scheduler.submit(Campaign(profiles=edited))
+        assert outcome.stats["computed"] == 2
+        assert generated() == []
+        assert outcome.result.to_json() == sequential_json(edited)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda p: {**p, "secret": p["secret"][:-40]}, id="torn"),
+            pytest.param(
+                lambda p: {**p, "secret": p["secret"] + "00"}, id="trailing"
+            ),
+            pytest.param(lambda p: {**p, "secret": "zz"}, id="not-hex"),
+            pytest.param(lambda p: {**p, "label": "device-rsa/other"}, id="label"),
+            pytest.param(lambda p: {"label": p["label"]}, id="no-secret"),
+            pytest.param(lambda p: [p], id="not-an-object"),
+        ],
+    )
+    def test_stored_key_rejects_damaged_objects(self, mutate):
+        label = Campaign(profiles=SMALL).device_key_labels()[0]
+        key = rsa.generate_keypair(DEVICE_RSA_BITS, label=label)
+        payload = {
+            "label": label,
+            "bits": DEVICE_RSA_BITS,
+            "secret": key.export_secret().hex(),
+        }
+        assert _stored_key(payload, label) == key
+        assert _stored_key(mutate(payload), label) is None
+
+    def test_corrupt_and_inconsistent_key_objects_are_regenerated(
+        self, tmp_path, request
+    ):
+        scheduler = FleetScheduler(tmp_path / "fleet")
+        campaign = Campaign(profiles=SMALL)
+        scheduler.submit(campaign)
+        keys = _key_objects(campaign)
+        (l1, l1_address), (legacy, legacy_address) = keys.items()
+        good = {
+            label: _stored_key(scheduler.store.get(address), label)
+            for label, address in keys.items()
+        }
+        # Inconsistent: a private exponent that no longer inverts e.
+        bad = good[l1]
+        blob = dataclasses.replace(bad, d=bad.d + 2).export_secret()
+        with pytest.raises(ValueError, match="inconsistent"):
+            rsa.RsaPrivateKey.import_secret(blob)
+        scheduler.store.put(
+            l1_address,
+            {"label": l1, "bits": DEVICE_RSA_BITS, "secret": blob.hex()},
+        )
+        # Torn: the object file cut short mid-write.
+        path = scheduler.store._object_path(legacy_address)
+        path.write_bytes(path.read_bytes()[:200])
+        assert scheduler.store.delete(campaign.cells()[1].key)
+
+        generated = request.getfixturevalue("keygen_log")
+        outcome = scheduler.submit(Campaign(profiles=SMALL))
+        assert sorted(generated()) == sorted([l1, legacy])
+        assert outcome.stats["computed"] == 1
+        assert outcome.result.to_json() == sequential_json(SMALL)
+        for label, address in keys.items():
+            assert _stored_key(scheduler.store.get(address), label) == good[label]
+
+    def test_killed_key_lock_holder_does_not_wedge_the_submit(self, tmp_path):
+        root = tmp_path / "fleet"
+        campaign = Campaign(profiles=SMALL)
+        address = device_key_address(
+            campaign.device_key_labels()[0], DEVICE_RSA_BITS
+        )
+        holder = subprocess.Popen(
+            [
+                sys.executable,
+                "-c",
+                "import sys, time\n"
+                "from repro.fleet import ResultStore\n"
+                "with ResultStore(sys.argv[1]).exclusive(sys.argv[2]):\n"
+                "    print('locked', flush=True)\n"
+                "    time.sleep(120)\n",
+                str(root / "store"),
+                address,
+            ],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            stdout=subprocess.PIPE,
+        )
+        try:
+            assert holder.stdout.readline() == b"locked\n"
+            outcome: dict = {}
+
+            def submit() -> None:
+                try:
+                    outcome["ok"] = FleetScheduler(root).submit(campaign)
+                except Exception as exc:  # surfaced by the assert below
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=submit)
+            thread.start()
+            thread.join(timeout=2.0)
+            # Blocked on the key lock before its first cell.
+            assert thread.is_alive()
+            assert not list((root / "campaigns").glob("*/done/*.json"))
+        finally:
+            holder.kill()
+            holder.wait()
+            holder.stdout.close()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        assert outcome["ok"].result.to_json() == sequential_json(SMALL)
+
+
+# ---------------------------------------------------------------------------
 # CLI verbs
 # ---------------------------------------------------------------------------
 
@@ -570,7 +781,8 @@ class TestFleetCli:
 
         assert main(["fleet", "gc", "--root", root, "--max-bytes", "0"]) == 0
         out = capsys.readouterr().out
-        assert "evicted 4 object(s)" in out
+        # Three cells plus the campaign's two device keys.
+        assert "evicted 6 object(s)" in out
 
     def test_resume_of_complete_campaign_reassembles(self, tmp_path, capsys):
         from repro.cli import main
